@@ -109,8 +109,12 @@ BENCHMARK(BM_RoutingTableMerge)->Arg(18)->Arg(159);
 void BM_RoutingTableRecompute(benchmark::State& state) {
   // The arrival hot path in miniature: a carried distance vector whose
   // entries barely moved merges into a warm table, then one route is
-  // queried.  A full-table recompute pays O(n^2) per iteration here;
-  // the incremental recompute pays O(changed columns x n).
+  // queried.  Each column here has two candidates (origin 1 and the
+  // destination's own direct link), and the drifting cell only ever
+  // gets worse, so whenever origin 1 holds the backup slot or falls
+  // behind it the column is re-solved: this times the O(n) rescan
+  // path, while improvements and still-decided changes patch the
+  // cached route in O(1) (docs/routing-hot-path.md).
   const auto n = static_cast<std::size_t>(state.range(0));
   dtn::core::RoutingTable table(0, n);
   dtn::Rng rng(12);

@@ -49,6 +49,59 @@ void RoutingTable::mark_dirty(LandmarkId dst) {
   dirty_columns_.push_back(dst);
 }
 
+void RoutingTable::update_cell(LandmarkId origin, LandmarkId dst) {
+  if (dst == self_) return;  // the self column is the constant {self, 0}
+  if (all_dirty_ || column_dirty_[dst] != 0 || pinned_[dst] != 0) {
+    mark_dirty(dst);
+    return;
+  }
+  const double ld = link_delay_[origin];
+  if (ld == kInfiniteDelay) return;  // not a neighbor: never a candidate
+  // The same addition both column solvers perform, so the patched delay
+  // carries the bits a re-solve would produce.
+  const double c = ld + advertised_.at(origin, dst);
+  const bool finite = c != kInfiniteDelay;
+  // The route is the top two of (cost, index) in lexicographic order,
+  // which is what the scalar loop's strict-< ascending scan yields.
+  const auto precedes = [](double ca, LandmarkId ia, double cb,
+                           LandmarkId ib) {
+    return ca < cb || (ca == cb && ia < ib);
+  };
+  Route& r = routes_[dst];
+  const bool was_best = origin == r.next;
+  if (was_best || origin == r.backup_next) {
+    // A hop of the cached pair that got worse may now trail an origin
+    // outside the pair, which only a rescan can find; the best is still
+    // decided when it keeps preceding the backup.
+    const double old = was_best ? r.delay : r.backup_delay;
+    if (!finite ||
+        (c > old &&
+         !(was_best && precedes(c, origin, r.backup_delay, r.backup_next)))) {
+      mark_dirty(dst);
+      return;
+    }
+    // (c, origin) still precedes every origin outside the pair: take it
+    // out and re-insert it below.
+    if (was_best) {
+      r.next = r.backup_next;
+      r.delay = r.backup_delay;
+    }
+    r.backup_next = kNoLandmark;
+    r.backup_delay = kInfiniteDelay;
+  } else if (!finite) {
+    return;
+  }
+  if (precedes(c, origin, r.delay, r.next)) {
+    r.backup_next = r.next;
+    r.backup_delay = r.delay;
+    r.next = origin;
+    r.delay = c;
+  } else if (precedes(c, origin, r.backup_delay, r.backup_next)) {
+    r.backup_next = origin;
+    r.backup_delay = c;
+  }
+}
+
 void RoutingTable::mark_all_dirty() {
   dirty_ = true;
   all_dirty_ = true;
@@ -84,12 +137,12 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   double* row = advertised_.row_ptr(origin);
   const double* in = dv.delay.data();
   // Apply one incoming cell: advertised matrix, transposed mirror and
-  // dirty marking move together.
+  // the cached route (patched in place or marked dirty) move together.
   const auto apply = [&](std::size_t d, double incoming) {
     if (row[d] != incoming) {
       row[d] = incoming;
       advertised_T_.at(d, origin) = incoming;
-      mark_dirty(static_cast<LandmarkId>(d));
+      update_cell(origin, static_cast<LandmarkId>(d));
     }
   };
 #if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
@@ -161,6 +214,7 @@ Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
 }
 
 Route RoutingTable::compute_column(LandmarkId dst) const {
+  ++column_solves_;
 #if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
   if (!simd::kEnabled || simd::scalar_forced()) {
     return compute_column_scalar(dst);

@@ -12,12 +12,15 @@
 //    vectors (not newer than the last merged from that origin) are
 //    discarded, exactly as §IV-C.1 discards out-of-date tokens.
 //
-// Routes are recomputed lazily as min over neighbors of
-// link_delay(self->v) + advertised_v(dst), and *incrementally*: a
-// merge marks only the destination columns whose advertised delay
-// actually changed, and the next query recomputes just those rows
-// instead of the whole O(n^2) table (docs/routing-hot-path.md).  Link
-// updates invalidate everything (a changed link can flip any route).
+// A route is the top two of link_delay(self->v) + advertised_v(dst)
+// over neighbors v, ordered by (cost, v).  The cached routes are kept
+// exact *in place* as a merge goes: each changed cell patches its
+// destination's best/backup pair in O(1), and only when the cached top
+// two cannot decide the result (the best fell behind the backup, the
+// backup got worse, or either dropped out) is the column marked dirty
+// for a full re-solve at the next query (docs/routing-hot-path.md).  Link
+// updates and staleness expiry invalidate everything (a changed link
+// can flip any route); pinned columns always re-solve.
 //
 // `pin` force-overrides the next hop of one destination until `unpin`;
 // this is the controlled fault-injection hook used by the routing-loop
@@ -140,6 +143,10 @@ class RoutingTable {
   /// mark it dirty.
   void audit(sim::AuditReport& report) const;
 
+  /// Number of full column solves (compute_column calls) so far: the
+  /// deterministic work counter the in-place patching is judged by.
+  [[nodiscard]] std::uint64_t column_solves() const { return column_solves_; }
+
   /// Test-only fault injection for the auditor's negative tests: change
   /// an advertised delay *without* marking the destination column dirty
   /// (the exact bug class the incremental recompute invites).  Keeps the
@@ -171,6 +178,10 @@ class RoutingTable {
   void recompute_column(LandmarkId dst) const;
   /// Mark one destination column stale.
   void mark_dirty(LandmarkId dst);
+  /// Patch routes_[dst] after advertised_[origin][dst] changed: O(1)
+  /// when the cached best/backup decide the new top two, else (and for
+  /// dirty, pinned or all-dirty columns) mark the column dirty.
+  void update_cell(LandmarkId origin, LandmarkId dst);
   /// Mark every column stale (link-delay changes can flip any route).
   void mark_all_dirty();
 
@@ -199,6 +210,8 @@ class RoutingTable {
   mutable std::vector<LandmarkId> dirty_columns_;
   mutable bool all_dirty_ = true;
   mutable bool dirty_ = true;
+  DTN_CKPT_SKIP("work counter; never serialized")
+  mutable std::uint64_t column_solves_ = 0;
 };
 
 }  // namespace dtn::core

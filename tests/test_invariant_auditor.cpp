@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -20,6 +21,7 @@
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "test_helpers.hpp"
+#include "trace/city_generator.hpp"
 
 namespace dtn {
 namespace {
@@ -277,23 +279,54 @@ TEST(NetworkAudit, DetectsPresentPositionCorruptionMidRun) {
 
 // -- periodic auditing during a replay ----------------------------------
 
-TEST(NetworkAudit, PeriodicAuditingDoesNotPerturbDeterminism) {
-  const auto trace = relay_chain_trace(6.0);
-
+// Replays `trace` twice, plain and audited every `period` events, and
+// requires bit-identical counters (auditing only reads state).  Returns
+// how many audits ran.
+std::uint64_t ExpectAuditingDoesNotPerturb(const trace::Trace& trace,
+                                           const WorkloadConfig& cfg,
+                                           std::uint64_t period) {
   DtnFlowRouter plain_router;
-  Network plain(trace, plain_router, chain_workload());
+  Network plain(trace, plain_router, cfg);
   plain.run();
 
-  auto audited_cfg = chain_workload();
-  audited_cfg.audit_period_events = 64;
+  auto audited_cfg = cfg;
+  audited_cfg.audit_period_events = period;
   DtnFlowRouter audited_router;
   Network audited(trace, audited_router, audited_cfg);
   audited.run();
 
   EXPECT_TRUE(audited.auditor().enabled());
-  EXPECT_GT(audited.auditor().audits_run(), 0u);
-  // Bit-exact: auditing only reads state.
   EXPECT_EQ(plain.counters(), audited.counters());
+  return audited.auditor().audits_run();
+}
+
+TEST(NetworkAudit, PeriodicAuditingDoesNotPerturbDeterminism) {
+  EXPECT_GT(ExpectAuditingDoesNotPerturb(relay_chain_trace(6.0),
+                                         chain_workload(), 64),
+            0u);
+}
+
+// The same on a scaled-down city tier, where merges patch cached routes
+// in place on every arrival: each audit re-solves every clean column
+// with the scalar reference scan, so a wrong in-place patch would abort
+// the audited replay.
+TEST(NetworkAudit, PeriodicAuditingDoesNotPerturbCityDeterminism) {
+  trace::CityTraceConfig tc;
+  tc.num_pedestrians = 180;
+  tc.num_buses = 8;
+  tc.num_landmarks = 40;
+  tc.num_districts = 5;
+  tc.days = 1.0;
+  tc.seed = 31;
+  WorkloadConfig cfg;
+  cfg.packets_per_landmark_per_day = 2.0;
+  cfg.ttl = 0.5 * kDay;
+  cfg.time_unit = 0.25 * kDay;
+  cfg.node_memory_kb = 20;
+  cfg.seed = 17;
+  EXPECT_GT(ExpectAuditingDoesNotPerturb(trace::generate_city_trace(tc), cfg,
+                                         256),
+            10u);
 }
 
 // A corrupt simulation must not keep producing numbers: with periodic

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "sim/invariant_auditor.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace dtn::core {
 namespace {
@@ -200,7 +205,10 @@ TEST(RoutingTable, StaleAdvertisementsSurviveLinkRemoval) {
 // last query.  Feed two tables the exact same update stream, but query
 // one after every mutation (forcing many small incremental recomputes)
 // and the other only at the end (one bulk recompute): every route —
-// including backup next hops and pins — must agree exactly.
+// including backup next hops and pins — must agree exactly.  Both
+// tables patch routes in place on merge, so this checks query-schedule
+// independence; RoutingTableReference below checks against a model
+// that re-solves every column from scratch.
 
 void ExpectSameRoutes(const RoutingTable& interleaved,
                       const RoutingTable& batched) {
@@ -300,6 +308,427 @@ TEST(RoutingTableIncremental, RandomizedOpStreamsAgree) {
   }
   ExpectSameRoutes(inc, full);
 }
+
+// -- in-place route patching (docs/routing-hot-path.md) ---------------
+//
+// A merge patches each changed cell's cached route in O(1) and marks
+// the column for a full re-solve only when the cached top two cannot
+// decide the result.  One test per patch branch: each checks the
+// resulting route, whether the column was re-solved (column_solves()),
+// and that every clean column still equals the scalar reference scan
+// (RoutingTable::audit).
+
+// self = 0, neighbors 1..3 at link delays `links`, destination 4, and a
+// non-neighbor origin 5.  Each origin's vector is kept so a test can
+// change exactly one advertised cell per merge.
+class PatchFixture {
+ public:
+  static constexpr LandmarkId kDst = 4;
+  static constexpr std::size_t kN = 6;
+
+  PatchFixture(std::vector<double> links, std::vector<double> adv_to_dst)
+      : table_(0, kN), vectors_(kN) {
+    for (LandmarkId v = 1; v <= 3; ++v) {
+      table_.set_link_delay(v, links[v - 1]);
+    }
+    for (LandmarkId o = 1; o < kN; ++o) {
+      vectors_[o] =
+          DistanceVector{o, 0, std::vector<double>(kN, kInfiniteDelay)};
+      vectors_[o].delay[o] = 0.0;
+      if (o <= 3) vectors_[o].delay[kDst] = adv_to_dst[o - 1];
+      EXPECT_TRUE(table_.merge(vectors_[o]));
+    }
+    (void)solves_to_query();
+  }
+
+  // Re-advertise `origin`'s vector with one cell changed.
+  void advertise(LandmarkId origin, double delay_to_dst) {
+    DistanceVector& dv = vectors_[origin];
+    ++dv.seq;
+    dv.delay[kDst] = delay_to_dst;
+    ASSERT_TRUE(table_.merge(dv));
+  }
+
+  // Route toward kDst plus the column solves the query needed.
+  std::uint64_t solves_to_query() {
+    const std::uint64_t before = table_.column_solves();
+    route_ = table_.route(kDst);
+    return table_.column_solves() - before;
+  }
+
+  void expect_route(LandmarkId next, double delay, LandmarkId backup,
+                    double backup_delay) const {
+    EXPECT_EQ(route_.next, next);
+    EXPECT_EQ(route_.delay, delay);
+    EXPECT_EQ(route_.backup_next, backup);
+    EXPECT_EQ(route_.backup_delay, backup_delay);
+    sim::AuditReport report;
+    table_.audit(report);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  }
+
+  RoutingTable& table() { return table_; }
+
+ private:
+  RoutingTable table_;
+  std::vector<DistanceVector> vectors_;
+  Route route_;
+};
+
+// Costs: 1 -> 1+4 = 5 (best), 2 -> 2+4 = 6 (backup), 3 -> 3+5 = 8.
+PatchFixture standard() {
+  return PatchFixture({1.0, 2.0, 3.0}, {4.0, 4.0, 5.0});
+}
+
+TEST(RoutingTablePatch, BestImprovesInPlace) {
+  auto f = standard();
+  f.expect_route(1, 5.0, 2, 6.0);
+  f.advertise(1, 2.0);
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 3.0, 2, 6.0);
+}
+
+TEST(RoutingTablePatch, BestWorsensButStaysAheadOfBackup) {
+  auto f = standard();
+  f.advertise(1, 4.5);  // 5.5 < 6
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.5, 2, 6.0);
+  // An exact cost tie with the backup is won on the lower index.
+  f.advertise(1, 5.0);  // 6 == 6, and 1 < 2
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 6.0, 2, 6.0);
+}
+
+TEST(RoutingTablePatch, BestWorsensPastBackupRescans) {
+  auto f = standard();
+  f.advertise(1, 9.0);  // 10 > 6: the new runner-up is unknown
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(2, 6.0, 3, 8.0);
+}
+
+TEST(RoutingTablePatch, BestLosingATieOnIndexRescans) {
+  // Costs: 1 -> 1+5 = 6 (backup), 2 -> 2+3 = 5 (best).
+  PatchFixture f({1.0, 2.0, 3.0}, {5.0, 3.0, 9.0});
+  f.expect_route(2, 5.0, 1, 6.0);
+  f.advertise(2, 4.0);  // 6 == 6, but 2 > 1: the backup takes over
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(1, 6.0, 2, 6.0);
+}
+
+TEST(RoutingTablePatch, BackupOvertakesBestOnTieAtLowerIndex) {
+  PatchFixture f({1.0, 2.0, 3.0}, {5.0, 3.0, 9.0});
+  f.advertise(1, 4.0);  // 5 == 5, and 1 < 2: swap in place
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 5.0);
+}
+
+TEST(RoutingTablePatch, BackupImprovesInPlace) {
+  auto f = standard();
+  f.advertise(2, 3.5);  // 5.5: still behind the best
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 5.5);
+  f.advertise(2, 3.0);  // 5 == 5, but 2 > 1: stays the backup
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 5.0);
+}
+
+TEST(RoutingTablePatch, BackupWorsensRescans) {
+  auto f = standard();
+  f.advertise(2, 4.5);  // 6.5, still ahead of 3's 8 — unknown in O(1)
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(1, 5.0, 2, 6.5);
+  f.advertise(2, 9.0);  // 11 > 8
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(1, 5.0, 3, 8.0);
+}
+
+TEST(RoutingTablePatch, OutsiderEntersTopTwoOnTie) {
+  // Costs: 1 -> 1+9 = 10 (outsider), 2 -> 1+5 = 6 (backup), 3 -> 1+3 = 4.
+  PatchFixture f({1.0, 1.0, 1.0}, {9.0, 5.0, 3.0});
+  f.expect_route(3, 4.0, 2, 6.0);
+  f.advertise(1, 5.0);  // 6 == 6, and 1 < 2: enters as the backup
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(3, 4.0, 1, 6.0);
+  f.advertise(1, 3.0);  // 4 == 4, and 1 < 3: enters as the best
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 4.0, 3, 4.0);
+}
+
+TEST(RoutingTablePatch, OutsiderTyingAtHigherIndexStaysOut) {
+  auto f = standard();
+  f.advertise(3, 3.0);  // 6 == 6, but 3 > 2: the backup keeps its slot
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 6.0);
+}
+
+TEST(RoutingTablePatch, CellGoingToInfinity) {
+  auto f = standard();
+  f.advertise(3, kInfiniteDelay);  // the outsider drops out: no effect
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 6.0);
+  f.advertise(3, 5.0);  // and comes back behind the backup
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 6.0);
+  f.advertise(1, kInfiniteDelay);  // the best drops out
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(2, 6.0, 3, 8.0);
+  f.advertise(3, kInfiniteDelay);  // the backup drops out
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(2, 6.0, kNoLandmark, kInfiniteDelay);
+  f.advertise(2, 7.0);  // the sole candidate worsens: still the best
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(2, 9.0, kNoLandmark, kInfiniteDelay);
+}
+
+TEST(RoutingTablePatch, NonNeighbourOriginChangeIsIgnored) {
+  auto f = standard();
+  f.advertise(5, 0.5);  // origin 5 has no link: never a candidate
+  EXPECT_EQ(f.solves_to_query(), 0u);
+  f.expect_route(1, 5.0, 2, 6.0);
+  // Once linked, the advertisement counts (the all-dirty re-solve).
+  f.table().set_link_delay(5, 1.0);
+  EXPECT_EQ(f.solves_to_query(), PatchFixture::kN);
+  f.expect_route(5, 1.5, 1, 5.0);
+}
+
+TEST(RoutingTablePatch, PinnedColumnFallsBackToRescan) {
+  auto f = standard();
+  f.table().pin(PatchFixture::kDst, 3, 0.25);
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(3, 0.25, 1, 5.0);
+  f.advertise(2, 1.0);  // would patch in place unpinned; re-solves here
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(3, 0.25, 2, 3.0);
+}
+
+TEST(RoutingTablePatch, DirtyColumnFallsBackToMarkDirty) {
+  auto f = standard();
+  f.advertise(1, 9.0);  // forces a rescan of the column...
+  f.advertise(2, 1.0);  // ...so this cell must not patch the stale cache
+  EXPECT_EQ(f.solves_to_query(), 1u);
+  f.expect_route(2, 3.0, 3, 8.0);
+  // After a link change every column is stale until the next query.
+  f.table().set_link_delay(3, 0.5);
+  f.advertise(3, 1.0);
+  EXPECT_EQ(f.solves_to_query(), PatchFixture::kN);
+  f.expect_route(3, 1.5, 2, 3.0);
+}
+
+// -- independent reference model ---------------------------------------
+//
+// A plain re-implementation of the table's contract — advertised
+// matrix, staleness, expiry and pins — whose routes come from a
+// lexicographic (cost, index) top-two scan.  It shares no code with
+// RoutingTable, so it checks the in-place patching against a full
+// recompute rather than against itself.
+class ReferenceTable {
+ public:
+  ReferenceTable(LandmarkId self, std::size_t n)
+      : self_(self),
+        link_(n, kInfiniteDelay),
+        adv_(n, std::vector<double>(n, kInfiniteDelay)),
+        last_seq_(n, 0),
+        time_(n, 0.0),
+        expired_(n, 0),
+        pinned_(n, 0),
+        pin_(n) {
+    for (std::size_t v = 0; v < n; ++v) adv_[v][v] = 0.0;
+  }
+
+  void set_link_delay(LandmarkId v, double d) { link_[v] = d; }
+
+  bool merge(const DistanceVector& dv, double now) {
+    const LandmarkId o = dv.origin;
+    if (o == self_ || dv.seq + 1 <= last_seq_[o]) return false;
+    last_seq_[o] = dv.seq + 1;
+    time_[o] = now;
+    expired_[o] = 0;
+    for (std::size_t d = 0; d < adv_.size(); ++d) {
+      adv_[o][d] = d == o ? 0.0 : dv.delay[d];
+    }
+    return true;
+  }
+
+  std::size_t expire_stale(double cutoff) {
+    std::size_t count = 0;
+    for (std::size_t o = 0; o < adv_.size(); ++o) {
+      if (o == self_ || last_seq_[o] == 0 || expired_[o] != 0 ||
+          time_[o] >= cutoff) {
+        continue;
+      }
+      adv_[o].assign(adv_.size(), kInfiniteDelay);
+      expired_[o] = 1;
+      ++count;
+    }
+    return count;
+  }
+
+  void pin(LandmarkId dst, LandmarkId next, double delay) {
+    pinned_[dst] = 1;
+    pin_[dst] = Route{next, delay, kNoLandmark, kInfiniteDelay};
+  }
+  void unpin(LandmarkId dst) { pinned_[dst] = 0; }
+
+  Route route(LandmarkId dst) const {
+    if (dst == self_) return Route{self_, 0.0, kNoLandmark, kInfiniteDelay};
+    const auto precedes = [](double ca, std::size_t ia, double cb,
+                             std::size_t ib) {
+      return ca < cb || (ca == cb && ia < ib);
+    };
+    Route r;
+    for (std::size_t v = 0; v < adv_.size(); ++v) {
+      if (v == self_) continue;
+      const double cost = link_[v] + adv_[v][dst];
+      if (cost == kInfiniteDelay) continue;
+      const auto id = static_cast<LandmarkId>(v);
+      if (r.next == kNoLandmark || precedes(cost, v, r.delay, r.next)) {
+        r.backup_next = r.next;
+        r.backup_delay = r.delay;
+        r.next = id;
+        r.delay = cost;
+      } else if (r.backup_next == kNoLandmark ||
+                 precedes(cost, v, r.backup_delay, r.backup_next)) {
+        r.backup_next = id;
+        r.backup_delay = cost;
+      }
+    }
+    if (pinned_[dst] == 0) return r;
+    Route pr = pin_[dst];  // the pin replaces the best, which backs it up
+    pr.backup_next = r.next;
+    pr.backup_delay = r.delay;
+    return pr;
+  }
+
+ private:
+  LandmarkId self_;
+  std::vector<double> link_;
+  std::vector<std::vector<double>> adv_;
+  std::vector<std::uint64_t> last_seq_;
+  std::vector<double> time_;
+  std::vector<std::uint8_t> expired_;
+  std::vector<std::uint8_t> pinned_;
+  std::vector<Route> pin_;
+};
+
+bool SameBits(const Route& a, const Route& b) {
+  return a.next == b.next && a.backup_next == b.backup_next &&
+         std::bit_cast<std::uint64_t>(a.delay) ==
+             std::bit_cast<std::uint64_t>(b.delay) &&
+         std::bit_cast<std::uint64_t>(a.backup_delay) ==
+             std::bit_cast<std::uint64_t>(b.backup_delay);
+}
+
+// Random op streams over small-integer delays (ties everywhere) with
+// infinite cells sprinkled in.  `eager` is queried and compared after
+// every op, so each merge patches a fully clean table; `lazy` sees the
+// same ops but is queried only now and then, so merges also land on
+// dirty and all-dirty columns.  Both are audited after every op.
+void RunReferenceStream(std::size_t n, std::uint64_t seed) {
+  dtn::Rng rng(seed);
+  const auto self = static_cast<LandmarkId>(rng.uniform_index(n));
+  ReferenceTable ref(self, n);
+  RoutingTable eager(self, n);
+  RoutingTable lazy(self, n);
+  std::vector<DistanceVector> vectors(n);
+  for (std::size_t o = 0; o < n; ++o) {
+    vectors[o] = DistanceVector{static_cast<LandmarkId>(o), 0,
+                                std::vector<double>(n, kInfiniteDelay)};
+  }
+  const auto other = [&] {
+    auto v = static_cast<LandmarkId>(rng.uniform_index(n - 1));
+    return v >= self ? v + 1 : v;
+  };
+  const auto small_delay = [&](std::size_t range) {
+    return rng.uniform_index(6) == 0
+               ? kInfiniteDelay
+               : static_cast<double>(rng.uniform_index(range));
+  };
+  double now = 0.0;
+  for (int step = 0; step < 600; ++step) {
+    now += 1.0;
+    const auto roll = rng.uniform_index(20);
+    if (roll < 4) {  // link change, including removal to infinity
+      const LandmarkId v = other();
+      const double d = small_delay(5);
+      ref.set_link_delay(v, d);
+      eager.set_link_delay(v, d);
+      lazy.set_link_delay(v, d);
+    } else if (roll < 15) {  // merge: perturb a few cells, maybe stale
+      const LandmarkId o = other();
+      DistanceVector dv = vectors[o];
+      const bool stale = dv.seq > 0 && rng.uniform_index(5) == 0;
+      if (stale) {
+        --dv.seq;
+      } else {
+        const std::size_t cells = 1 + rng.uniform_index(4);
+        for (std::size_t k = 0; k < cells; ++k) {
+          dv.delay[rng.uniform_index(n)] = small_delay(8);
+        }
+      }
+      const bool accepted = ref.merge(dv, now);
+      EXPECT_EQ(eager.merge(dv, now), accepted);
+      EXPECT_EQ(lazy.merge(dv, now), accepted);
+      if (accepted) {
+        vectors[o] = dv;
+        ++vectors[o].seq;
+      }
+    } else if (roll < 18) {  // pin / unpin
+      const LandmarkId dst = other();
+      if (rng.uniform_index(2) == 0) {
+        const LandmarkId via = other();
+        const auto d = static_cast<double>(rng.uniform_index(4));
+        ref.pin(dst, via, d);
+        eager.pin(dst, via, d);
+        lazy.pin(dst, via, d);
+      } else {
+        ref.unpin(dst);
+        eager.unpin(dst);
+        lazy.unpin(dst);
+      }
+    } else {  // withdraw origins silent for a while
+      const double cutoff = now - static_cast<double>(rng.uniform_index(40));
+      const std::size_t expired = ref.expire_stale(cutoff);
+      EXPECT_EQ(eager.expire_stale(cutoff), expired);
+      EXPECT_EQ(lazy.expire_stale(cutoff), expired);
+    }
+    for (const RoutingTable* t : {&eager, &lazy}) {
+      sim::AuditReport report;
+      t->audit(report);
+      ASSERT_TRUE(report.ok()) << "step " << step << "\n" << report.to_string();
+    }
+    const bool check_lazy = rng.uniform_index(8) == 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      const auto dst = static_cast<LandmarkId>(d);
+      const Route want = ref.route(dst);
+      ASSERT_TRUE(SameBits(eager.route(dst), want))
+          << "n=" << n << " step=" << step << " dst=" << d;
+      if (check_lazy) {
+        ASSERT_TRUE(SameBits(lazy.route(dst), want))
+            << "lazy n=" << n << " step=" << step << " dst=" << d;
+      }
+    }
+  }
+}
+
+class RoutingTableReference
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(RoutingTableReference, RandomOpStreamsMatchReferenceModel) {
+  const auto [n, scalar] = GetParam();
+  const bool prev = simd::scalar_forced();
+  simd::force_scalar_for_test(scalar);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RunReferenceStream(n, seed * 7919 + n);
+  }
+  simd::force_scalar_for_test(prev);
+}
+
+// Odd sizes exercise the SIMD tails of the column sweep and merge scan.
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, RoutingTableReference,
+    ::testing::Combine(::testing::Values(std::size_t{5}, std::size_t{12},
+                                         std::size_t{33}),
+                       ::testing::Bool()));
 
 // Property: after synchronous flooding on a random connected graph, DV
 // delays equal all-pairs shortest paths (Floyd-Warshall reference).
