@@ -112,9 +112,10 @@ void BM_RoutingTableRecompute(benchmark::State& state) {
   // queried.  Each column here has two candidates (origin 1 and the
   // destination's own direct link), and the drifting cell only ever
   // gets worse, so whenever origin 1 holds the backup slot or falls
-  // behind it the column is re-solved: this times the O(n) rescan
-  // path, while improvements and still-decided changes patch the
-  // cached route in O(1) (docs/routing-hot-path.md).
+  // behind it the column is re-solved: this times the rescan path, a
+  // scan over the k finite-link neighbors (every other landmark here,
+  // so k = n - 1), while improvements and still-decided changes patch
+  // the cached route in O(1) (docs/routing-hot-path.md).
   const auto n = static_cast<std::size_t>(state.range(0));
   dtn::core::RoutingTable table(0, n);
   dtn::Rng rng(12);

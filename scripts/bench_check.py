@@ -3,9 +3,13 @@
 
 Runs the hot-path microbenchmarks (event queue, trace cursor, buffer,
 predictor, routing table, carrier selection, end-to-end replay) with
-google-benchmark's JSON output, writes the
-result to BENCH_hotpath.json, and compares per-benchmark real_time
-against the checked-in baseline.
+google-benchmark's JSON output, REPETITIONS times each, writes the
+result to BENCH_hotpath.json, and compares each benchmark's median
+real_time (keyed by run_name) against the checked-in baseline.  One
+sample of a nanosecond-scale benchmark follows host load on a shared
+machine; the median of several does not.  A baseline recorded without
+repetitions (one iteration row per benchmark) is read as its own
+median.
 
 Perf regressions beyond the tolerance band (--threshold, default +25%
 real_time) FAIL the check with a non-zero exit; --warn-only restores
@@ -52,6 +56,8 @@ DEFAULT_FILTER = (
     "|BM_MarkovPredict|BM_CarrierSelect|BM_RoutingTableRecompute"
     "|BM_ShardedReplay|BM_CityReplay|BM_Checkpoint|BM_OverloadReplay"
 )
+# Samples per benchmark; the comparison uses their median.
+REPETITIONS = 5
 
 
 def run_benchmarks(bench: Path, bench_filter: str) -> dict:
@@ -59,6 +65,8 @@ def run_benchmarks(bench: Path, bench_filter: str) -> dict:
         str(bench),
         f"--benchmark_filter={bench_filter}",
         "--benchmark_format=json",
+        f"--benchmark_repetitions={REPETITIONS}",
+        "--benchmark_report_aggregates_only=true",
     ]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -98,21 +106,31 @@ def validate_report(report: object, source: str) -> None:
     for i, b in enumerate(benchmarks):
         if not isinstance(b, dict) or "name" not in b:
             raise SystemExit(f"{source}: benchmarks[{i}] has no 'name'")
-        if b.get("run_type") == "aggregate":
-            continue
         if not isinstance(b.get("real_time"), (int, float)):
             raise SystemExit(
                 f"{source}: benchmarks[{i}] ({b['name']}) has no numeric "
                 "'real_time'")
+    if not medians(report):
+        raise SystemExit(f"{source}: no median or single-sample rows")
 
 
-def by_name(report: dict) -> dict[str, dict]:
+def medians(report: dict) -> dict[str, dict]:
+    """Map run_name -> the row holding that benchmark's median real_time.
+
+    With repetitions that is the `median` aggregate; a report without
+    repetitions has one iteration row per benchmark, its own median.
+    """
     out = {}
+    singles = {}
     for b in report["benchmarks"]:
-        # Skip aggregate rows (mean/median/stddev) if repetitions are on.
+        key = b.get("run_name", b["name"])
         if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = b
+            if b.get("aggregate_name") == "median":
+                out[key] = b
+        elif b.get("repetitions", 1) == 1:
+            singles[key] = b
+    for key, b in singles.items():
+        out.setdefault(key, b)
     return out
 
 
@@ -179,8 +197,8 @@ def main() -> int:
             f"ERROR: baseline {args.baseline} does not exist; pass "
             "--allow-missing-baseline when bootstrapping one\n")
         return 2
-    baseline = by_name(load_baseline(args.baseline))
-    current = by_name(report)
+    baseline = medians(load_baseline(args.baseline))
+    current = medians(report)
 
     regressions = []
     improvements = []
@@ -203,8 +221,8 @@ def main() -> int:
             improvements.append(
                 f"{name}: {ratio:.2f}x baseline "
                 f"({base_t:.0f} -> {cur_t:.0f} {unit})")
-        print(f"  {name}: {base_t:.0f} -> {cur_t:.0f} {unit} "
-              f"({ratio:.2f}x baseline){marker}")
+        print(f"  {name}: {base_t:.0f} -> {cur_t:.0f} {unit} median of "
+              f"{REPETITIONS} ({ratio:.2f}x baseline){marker}")
 
     if improvements and args.improvement_note is not None:
         with args.improvement_note.open("a") as f:

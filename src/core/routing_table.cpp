@@ -16,7 +16,6 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
     : self_(self),
       link_delay_(num_landmarks, kInfiniteDelay),
       advertised_(num_landmarks, num_landmarks, kInfiniteDelay),
-      advertised_T_(num_landmarks, num_landmarks, kInfiniteDelay),
       last_seq_(num_landmarks, 0),
       advertised_time_(num_landmarks, 0.0),
       expired_(num_landmarks, 0),
@@ -29,18 +28,41 @@ RoutingTable::RoutingTable(LandmarkId self, std::size_t num_landmarks)
   // merged anything from it (direct links are usable immediately).
   for (std::size_t v = 0; v < num_landmarks; ++v) {
     advertised_.at(v, v) = 0.0;
-    advertised_T_.at(v, v) = 0.0;
   }
 }
 
-void RoutingTable::rebuild_transposed() {
-  const std::size_t n = link_delay_.size();
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t d = 0; d < n; ++d) {
-      advertised_T_.at(d, o) = advertised_.at(o, d);
+namespace {
+
+/// One step of the ascending running best/backup scan: strict `<`, so
+/// the earlier origin keeps a tie.  An infinite cost never precedes
+/// anything (the backup delay starts infinite), and delay <= backup
+/// delay always holds, so testing the backup first is the same update
+/// as the reference loop's `if (c < best) ... else if (c < backup)`.
+inline void offer(Route& r, LandmarkId v, double c) {
+  if (c < r.backup_delay) {
+    if (c < r.delay) {
+      r.backup_next = r.next;
+      r.backup_delay = r.delay;
+      r.next = v;
+      r.delay = c;
+    } else {
+      r.backup_next = v;
+      r.backup_delay = c;
     }
   }
 }
+
+/// Insert `v` into the ascending list, or erase it if present.
+void toggle_member(std::vector<LandmarkId>& list, LandmarkId v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it != list.end() && *it == v) {
+    list.erase(it);
+  } else {
+    list.insert(it, v);
+  }
+}
+
+}  // namespace
 
 void RoutingTable::mark_dirty(LandmarkId dst) {
   dirty_ = true;
@@ -111,8 +133,12 @@ void RoutingTable::set_link_delay(LandmarkId neighbor, double delay) {
   DTN_ASSERT(neighbor < link_delay_.size());
   DTN_ASSERT(neighbor != self_);
   DTN_ASSERT(delay >= 0.0);
-  if (link_delay_[neighbor] != delay) {
+  const double old = link_delay_[neighbor];
+  if (old != delay) {
     link_delay_[neighbor] = delay;
+    if ((old == kInfiniteDelay) != (delay == kInfiniteDelay)) {
+      toggle_member(neighbors_, neighbor);  // the link appeared or went away
+    }
     // A changed link cost touches every destination routed (or now
     // routable) through `neighbor`, which can be any column.
     mark_all_dirty();
@@ -136,12 +162,11 @@ bool RoutingTable::merge(const DistanceVector& dv, double now) {
   const LandmarkId origin = dv.origin;
   double* row = advertised_.row_ptr(origin);
   const double* in = dv.delay.data();
-  // Apply one incoming cell: advertised matrix, transposed mirror and
-  // the cached route (patched in place or marked dirty) move together.
+  // Apply one incoming cell: the advertised matrix and the cached route
+  // (patched in place or marked dirty) move together.
   const auto apply = [&](std::size_t d, double incoming) {
     if (row[d] != incoming) {
       row[d] = incoming;
-      advertised_T_.at(d, origin) = incoming;
       update_cell(origin, static_cast<LandmarkId>(d));
     }
   };
@@ -213,100 +238,63 @@ Route RoutingTable::compute_column_scalar(LandmarkId dst) const {
   return r;
 }
 
-Route RoutingTable::compute_column(LandmarkId dst) const {
-  ++column_solves_;
-#if defined(__GNUC__) && !defined(DTN_SIMD_SCALAR)
-  if (!simd::kEnabled || simd::scalar_forced()) {
-    return compute_column_scalar(dst);
+std::vector<LandmarkId> RoutingTable::finite_link_origins() const {
+  std::vector<LandmarkId> out;
+  for (std::size_t v = 0; v < link_delay_.size(); ++v) {
+    if (v != self_ && link_delay_[v] != kInfiniteDelay) {
+      out.push_back(static_cast<LandmarkId>(v));
+    }
   }
+  return out;
+}
+
+Route RoutingTable::finish_column(LandmarkId dst,
+                                  const Route& organic) const {
   if (dst == self_) {
     Route r;
     r.next = self_;
     r.delay = 0.0;
     return r;
   }
-  // Fused min / second-min sweep over the contiguous cost row
-  // cost[v] = link_delay[v] + advertised_T[dst][v].  Equivalent to the
-  // scalar running best/backup scan: the best hop is the *first* index
-  // attaining the row minimum, the backup the first index attaining the
-  // minimum with the best excluded — exactly the strict-< tie-break
-  // order of the serial loop (docs/simd-hot-path.md).  Excluded
-  // neighbors need no masking: link_delay_[self_] is always infinite,
-  // and any infinite link or advertisement makes cost[v] infinite,
-  // which can never win.  Each lane tracks its two smallest values
-  // (with multiplicity), so one pass yields both the minimum and the
-  // minimum-excluding-one-instance; indices are recovered by short
-  // equality scans that recompute cost with the identical ld + adv
-  // arithmetic (no scratch stores).
+  if (pinned_[dst] == 0) return organic;
+  Route pr = pin_route_[dst];
+  pr.backup_next = organic.next;
+  pr.backup_delay = organic.delay;
+  return pr;
+}
+
+Route RoutingTable::compute_column(LandmarkId dst) const {
+  ++column_solves_;
+  // Only finite-link origins can be candidates, and they are visited in
+  // ascending order, so the result is the reference scan's bit for bit.
   const std::size_t n = link_delay_.size();
-  const double* ld = link_delay_.data();
-  const double* adv = advertised_T_.row_ptr(dst);
-  // Two independent accumulator pairs break the min/min latency chain;
-  // merging two (smallest, second-smallest) pairs afterwards is the
-  // same multiset-union merge the lane reduction performs.
-  simd::VDouble vm1 = simd::broadcast(kInfiniteDelay);
-  simd::VDouble vm2 = vm1;
-  simd::VDouble wm1 = vm1;
-  simd::VDouble wm2 = vm1;
-  std::size_t v = 0;
-  for (; v + 2 * simd::kDoubleLanes <= n; v += 2 * simd::kDoubleLanes) {
-    const simd::VDouble c0 = simd::loadu(ld + v) + simd::loadu(adv + v);
-    const simd::VDouble c1 = simd::loadu(ld + v + simd::kDoubleLanes) +
-                             simd::loadu(adv + v + simd::kDoubleLanes);
-    vm2 = simd::vmin(vm2, simd::vmax(vm1, c0));
-    vm1 = simd::vmin(vm1, c0);
-    wm2 = simd::vmin(wm2, simd::vmax(wm1, c1));
-    wm1 = simd::vmin(wm1, c1);
-  }
-  for (; v + simd::kDoubleLanes <= n; v += simd::kDoubleLanes) {
-    const simd::VDouble c = simd::loadu(ld + v) + simd::loadu(adv + v);
-    vm2 = simd::vmin(vm2, simd::vmax(vm1, c));
-    vm1 = simd::vmin(vm1, c);
-  }
-  vm2 = simd::vmin(simd::vmin(vm2, wm2), simd::vmax(vm1, wm1));
-  vm1 = simd::vmin(vm1, wm1);
-  // Merge the per-lane pairs, then the scalar tail: for two multisets
-  // with smallest pairs (a1, a2) and (b1, b2), the merged pair is
-  // (min(a1, b1), min(max(a1, b1), a2, b2)).
-  double m1 = kInfiniteDelay;
-  double m2 = kInfiniteDelay;
-  for (std::size_t lane = 0; lane < simd::kDoubleLanes; ++lane) {
-    const double b1 = vm1[lane];
-    const double b2 = vm2[lane];
-    const double hi = m1 > b1 ? m1 : b1;
-    m1 = m1 < b1 ? m1 : b1;
-    m2 = m2 < b2 ? m2 : b2;
-    m2 = m2 < hi ? m2 : hi;
-  }
-  for (; v < n; ++v) {
-    const double c = ld[v] + adv[v];
-    const double hi = m1 > c ? m1 : c;
-    m1 = m1 < c ? m1 : c;
-    m2 = m2 < hi ? m2 : hi;
-  }
+  const double* adv = advertised_.row_ptr(0) + dst;
   Route r;
-  if (m1 != kInfiniteDelay) {
-    std::size_t best = 0;
-    while (ld[best] + adv[best] != m1) ++best;
-    r.next = static_cast<LandmarkId>(best);
-    r.delay = ld[best] + adv[best];  // the first-argmin's bits
-    if (m2 != kInfiniteDelay) {
-      std::size_t backup = best == 0 ? 1 : 0;
-      while (backup == best || ld[backup] + adv[backup] != m2) ++backup;
-      r.backup_next = static_cast<LandmarkId>(backup);
-      r.backup_delay = ld[backup] + adv[backup];
+  for (const LandmarkId v : neighbors_) {
+    offer(r, v, link_delay_[v] + adv[v * n]);
+  }
+  return finish_column(dst, r);
+}
+
+void RoutingTable::sweep_all_columns() const {
+  const std::size_t n = link_delay_.size();
+  column_solves_ += n;
+  std::fill(routes_.begin(), routes_.end(), Route{});
+  // Each column sees the neighbors in the same ascending order as
+  // compute_column, so the swept routes are bit-identical to n column
+  // solves; the k*n cells are read row by row instead of one strided
+  // column at a time.
+  Route* routes = routes_.data();
+  for (const LandmarkId v : neighbors_) {
+    const double ld = link_delay_[v];
+    const double* row = advertised_.row_ptr(v);
+    for (std::size_t d = 0; d < n; ++d) offer(routes[d], v, ld + row[d]);
+  }
+  for (std::size_t d = 0; d < n; ++d) {
+    if (d == self_ || pinned_[d] != 0) {
+      routes[d] = finish_column(static_cast<LandmarkId>(d), routes[d]);
     }
   }
-  if (pinned_[dst] != 0) {
-    Route pr = pin_route_[dst];
-    pr.backup_next = r.next;
-    pr.backup_delay = r.delay;
-    return pr;
-  }
-  return r;
-#else
-  return compute_column_scalar(dst);
-#endif
 }
 
 void RoutingTable::recompute_column(LandmarkId dst) const {
@@ -316,10 +304,7 @@ void RoutingTable::recompute_column(LandmarkId dst) const {
 void RoutingTable::recompute() const {
   if (!dirty_) return;
   if (all_dirty_) {
-    const std::size_t n = link_delay_.size();
-    for (std::size_t d = 0; d < n; ++d) {
-      recompute_column(static_cast<LandmarkId>(d));
-    }
+    sweep_all_columns();
     all_dirty_ = false;
   } else {
     for (const LandmarkId d : dirty_columns_) {
@@ -383,10 +368,7 @@ std::size_t RoutingTable::expire_stale(double cutoff) {
     if (last_seq_[o] == 0) continue;  // never advertised: bootstrap row stays
     if (expired_[o] != 0) continue;
     if (advertised_time_[o] >= cutoff) continue;
-    for (std::size_t d = 0; d < n; ++d) {
-      advertised_.at(o, d) = kInfiniteDelay;
-      advertised_T_.at(d, o) = kInfiniteDelay;
-    }
+    std::fill_n(advertised_.row_ptr(o), n, kInfiniteDelay);
     expired_[o] = 1;
     ++expired;
   }
@@ -467,25 +449,16 @@ void RoutingTable::audit(sim::AuditReport& report) const {
   if (all_dirty_ && !dirty_) {
     report.fail("all_dirty_ set on a clean table");
   }
-  // SoA mirror: the transposed advertised matrix must equal advertised_
-  // cell-for-cell, bit-for-bit — a merge path that forgot the mirror
-  // would silently feed the SIMD column sweep stale costs.
-  if (advertised_T_.rows() != n || advertised_T_.cols() != n) {
-    report.fail("transposed advertised mirror has the wrong shape");
-    return;
-  }
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t d = 0; d < n; ++d) {
-      if (std::bit_cast<std::uint64_t>(advertised_.at(o, d)) !=
-          std::bit_cast<std::uint64_t>(advertised_T_.at(d, o))) {
-        report.fail(prefix(static_cast<LandmarkId>(d)) +
-                    "transposed advertised mirror diverges from "
-                    "advertised_[" + std::to_string(o) + "][" +
-                    std::to_string(d) + "] (" +
-                    std::to_string(advertised_.at(o, d)) + " vs " +
-                    std::to_string(advertised_T_.at(d, o)) + ")");
-      }
-    }
+  // Neighbor list: exactly the finite-link origins, ascending — a link
+  // update that forgot the list would silently drop (or add) candidates
+  // from every column solve and sweep.
+  const std::vector<LandmarkId> linked = finite_link_origins();
+  if (linked != neighbors_) {
+    report.fail("table " + std::to_string(self_) + ": neighbor list (" +
+                std::to_string(neighbors_.size()) +
+                " entries) disagrees with the " +
+                std::to_string(linked.size()) +
+                " finite-link origins of link_delay_");
   }
   // Correctness: every column *not* marked stale must already equal the
   // from-scratch min-over-neighbors scan, bit for bit.  The reference
@@ -519,15 +492,11 @@ void RoutingTable::debug_corrupt_advertised_for_test(LandmarkId origin,
   DTN_ASSERT(origin < link_delay_.size());
   DTN_ASSERT(dst < link_delay_.size());
   advertised_.at(origin, dst) = delay;  // deliberately NOT marked dirty
-  advertised_T_.at(dst, origin) = delay;
 }
 
-void RoutingTable::debug_corrupt_transposed_for_test(LandmarkId origin,
-                                                     LandmarkId dst,
-                                                     double delay) {
-  DTN_ASSERT(origin < link_delay_.size());
-  DTN_ASSERT(dst < link_delay_.size());
-  advertised_T_.at(dst, origin) = delay;  // advertised_ left alone
+void RoutingTable::debug_corrupt_neighbors_for_test(LandmarkId neighbor) {
+  DTN_ASSERT(neighbor < link_delay_.size());
+  toggle_member(neighbors_, neighbor);  // link_delay_ deliberately left alone
 }
 
 namespace {
@@ -598,9 +567,9 @@ void RoutingTable::load(persist::Reader& r) {
   }
   all_dirty_ = r.boolean();
   dirty_ = r.boolean();
-  // The transposed mirror is derived state and deliberately absent from
-  // the image (the byte layout predates it); rebuild it.
-  rebuild_transposed();
+  // The neighbor list is derived state and deliberately absent from the
+  // image (the byte layout predates it); rebuild it.
+  neighbors_ = finite_link_origins();
 }
 
 }  // namespace dtn::core

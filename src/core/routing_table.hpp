@@ -18,9 +18,12 @@
 // destination's best/backup pair in O(1), and only when the cached top
 // two cannot decide the result (the best fell behind the backup, the
 // backup got worse, or either dropped out) is the column marked dirty
-// for a full re-solve at the next query (docs/routing-hot-path.md).  Link
-// updates and staleness expiry invalidate everything (a changed link
-// can flip any route); pinned columns always re-solve.
+// for a re-solve at the next query: one ascending scan over the k
+// finite-link neighbors (docs/routing-hot-path.md).  Link updates and
+// staleness expiry invalidate everything (a changed link can flip any
+// route); the next query then sweeps the k neighbor rows of the
+// advertised matrix once, O(k*n) contiguous reads.  Pinned columns
+// always re-solve.
 //
 // `pin` force-overrides the next hop of one destination until `unpin`;
 // this is the controlled fault-injection hook used by the routing-loop
@@ -137,43 +140,51 @@ class RoutingTable {
 
   // -- invariant auditing (debug tooling, see invariant_auditor.hpp) ----
   /// Validate the dirty-column bookkeeping (flag array vs compact list)
-  /// and recompute every *clean* column from scratch, comparing the
-  /// cached route bit-for-bit — a clean column that disagrees with the
-  /// full min-over-neighbors scan means a merge/link update forgot to
-  /// mark it dirty.
+  /// and the neighbor list (vs the finite entries of link_delay_), then
+  /// recompute every *clean* column from scratch, comparing the cached
+  /// route bit-for-bit — a clean column that disagrees with the full
+  /// min-over-neighbors scan means a merge/link update forgot to mark it
+  /// dirty.
   void audit(sim::AuditReport& report) const;
 
-  /// Number of full column solves (compute_column calls) so far: the
-  /// deterministic work counter the in-place patching is judged by.
+  /// Number of full column solves so far (a sweep after a link change
+  /// counts n): the deterministic work counter the in-place patching is
+  /// judged by.
   [[nodiscard]] std::uint64_t column_solves() const { return column_solves_; }
 
   /// Test-only fault injection for the auditor's negative tests: change
   /// an advertised delay *without* marking the destination column dirty
-  /// (the exact bug class the incremental recompute invites).  Keeps the
-  /// transposed mirror in sync — the mirror is not the bug under test.
+  /// (the exact bug class the incremental recompute invites).
   void debug_corrupt_advertised_for_test(LandmarkId origin, LandmarkId dst,
                                          double delay);
 
-  /// Test-only fault injection: desynchronize one cell of the transposed
-  /// advertised mirror (the SoA-mirror bug class — a merge path that
-  /// forgot to update the transpose).  The auditor must catch it.
-  void debug_corrupt_transposed_for_test(LandmarkId origin, LandmarkId dst,
-                                         double delay);
+  /// Test-only fault injection: toggle `neighbor` in the neighbor list
+  /// without touching its link delay (the bug class of a link update
+  /// path that forgot the list).  The auditor must catch it.
+  void debug_corrupt_neighbors_for_test(LandmarkId neighbor);
 
  private:
   /// Bring every dirty destination column up to date (no-op when clean).
   void recompute() const;
-  /// The full min-over-neighbors scan for one destination (pins
-  /// applied); dispatches to the SIMD two-pass sweep or the scalar
-  /// reference loop — both produce bit-identical Routes
-  /// (docs/simd-hot-path.md).
+  /// Re-solve one destination: an ascending scan over neighbors_ (pins
+  /// applied), bit-identical to compute_column_scalar.
   [[nodiscard]] Route compute_column(LandmarkId dst) const;
-  /// The scalar reference scan (the pre-SIMD running best/backup loop).
-  /// The auditor always compares against this, so a SIMD divergence in
-  /// the cached routes is caught as a clean-column mismatch.
+  /// The reference scan: every origin, its own link and infinity skips,
+  /// the running best/backup update.  The auditor always compares
+  /// against this, so a divergence of the neighbor scan or the sweep is
+  /// caught as a clean-column mismatch.
   [[nodiscard]] Route compute_column_scalar(LandmarkId dst) const;
-  /// Rebuild advertised_T_ from advertised_ (construction and load).
-  void rebuild_transposed();
+  /// Origins other than self with a finite link delay, ascending: what
+  /// neighbors_ must hold (load rebuilds it from this, audit compares).
+  [[nodiscard]] std::vector<LandmarkId> finite_link_origins() const;
+  /// The route a column solve yields for `dst` given its organic top
+  /// two: the self column is the constant {self, 0}, and a pin replaces
+  /// the best, which becomes the backup.
+  [[nodiscard]] Route finish_column(LandmarkId dst, const Route& organic) const;
+  /// Re-solve every column at once: reset all routes, stream each
+  /// neighbor's advertised row over all destinations, then finish each
+  /// column (the all-dirty case after a link change or expiry).
+  void sweep_all_columns() const;
   /// Recompute the route toward one destination into routes_.
   void recompute_column(LandmarkId dst) const;
   /// Mark one destination column stale.
@@ -188,13 +199,12 @@ class RoutingTable {
   LandmarkId self_;
   std::vector<double> link_delay_;
   FlatMatrix<double> advertised_;        // [origin][dst]
-  /// Transposed mirror of advertised_ ([dst][origin]) so the per-column
-  /// min scan reads one contiguous row.  Derived state: never
-  /// serialized (checkpoint byte layout is unchanged), rebuilt on load,
-  /// updated cell-for-cell by merge/expire_stale, audited against
-  /// advertised_ bit-for-bit.
-  DTN_CKPT_SKIP("transposed mirror of advertised_; load rebuilds it")
-  FlatMatrix<double> advertised_T_;      // [dst][origin]
+  /// Origins with a finite link delay, ascending: the only rows a column
+  /// solve or sweep reads.  Derived state: never serialized (checkpoint
+  /// byte layout is unchanged), kept current by set_link_delay, rebuilt
+  /// on load, audited against link_delay_.
+  DTN_CKPT_SKIP("finite-link origins of link_delay_; load rebuilds it")
+  std::vector<LandmarkId> neighbors_;
   std::vector<std::uint64_t> last_seq_;  // last merged seq + 1 per origin
   std::vector<double> advertised_time_;  // when each origin last advertised
   std::vector<std::uint8_t> expired_;    // origins withdrawn by expire_stale

@@ -345,19 +345,26 @@ class AbortingCorruptRouter : public net::Router {
   bool fired_ = false;
 };
 
-// -- SIMD-era SoA mirrors (docs/simd-hot-path.md) -----------------------
+// -- derived state kept beside the checkpointed fields -----------------
 
-TEST(RoutingTableAudit, DetectsTransposedMirrorDesync) {
+TEST(RoutingTableAudit, DetectsNeighborListDesync) {
   auto t = converged_table();
-  // Desynchronize one cell of the transposed advertised mirror — the
-  // bug class where a merge path updates advertised_ but forgets the
-  // transpose the SIMD column sweep reads.
-  t.debug_corrupt_transposed_for_test(/*origin=*/1, /*dst=*/2, 3.0);
+  // Drop a linked origin from the neighbor list without touching its
+  // link delay — the bug class where a link update path forgets the
+  // list every column solve and sweep reads.
+  t.debug_corrupt_neighbors_for_test(/*neighbor=*/1);
   AuditReport report;
   t.audit(report);
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(any_failure_mentions(report, "transposed advertised mirror"))
+  EXPECT_TRUE(any_failure_mentions(report, "neighbor list"))
       << report.to_string();
+  // Adding an unlinked origin is the same desync the other way round.
+  auto u = converged_table();
+  u.debug_corrupt_neighbors_for_test(/*neighbor=*/3);
+  AuditReport added;
+  u.audit(added);
+  EXPECT_TRUE(any_failure_mentions(added, "neighbor list"))
+      << added.to_string();
 }
 
 TEST(NetworkAudit, DetectsArenaAccountingDrift) {

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "persist/serializer.hpp"
 #include "sim/invariant_auditor.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -618,12 +620,40 @@ bool SameBits(const Route& a, const Route& b) {
              std::bit_cast<std::uint64_t>(b.backup_delay);
 }
 
+// Saves `t`, loads the image into a fresh table (which must rebuild its
+// derived neighbor list from the restored link delays) and swaps it in.
+// Re-saving the loaded table must reproduce the image byte for byte.
+void ReloadThroughCheckpoint(RoutingTable& t) {
+  persist::Writer w;
+  w.begin_section("table");
+  t.save(w);
+  w.end_section();
+  w.finish();
+  RoutingTable fresh(t.self(), t.num_landmarks());
+  persist::Reader r(w.buffer());
+  r.expect_section("table");
+  fresh.load(r);
+  r.end_section();
+  r.finish();
+  persist::Writer again;
+  again.begin_section("table");
+  fresh.save(again);
+  again.end_section();
+  again.finish();
+  EXPECT_EQ(again.buffer(), w.buffer());
+  t = std::move(fresh);
+}
+
 // Random op streams over small-integer delays (ties everywhere) with
 // infinite cells sprinkled in.  `eager` is queried and compared after
 // every op, so each merge patches a fully clean table; `lazy` sees the
 // same ops but is queried only now and then, so merges also land on
-// dirty and all-dirty columns.  Both are audited after every op.
-void RunReferenceStream(std::size_t n, std::uint64_t seed) {
+// dirty and all-dirty columns.  Both are audited after every op, and
+// now and then both are reloaded through a checkpoint image mid-stream.
+// `sparse` sends link changes to infinity 3 times in 4, so only about a
+// quarter of the origins are linked (as on the city tier) instead of
+// most of them.
+void RunReferenceStream(std::size_t n, std::uint64_t seed, bool sparse) {
   dtn::Rng rng(seed);
   const auto self = static_cast<LandmarkId>(rng.uniform_index(n));
   ReferenceTable ref(self, n);
@@ -644,12 +674,16 @@ void RunReferenceStream(std::size_t n, std::uint64_t seed) {
                : static_cast<double>(rng.uniform_index(range));
   };
   double now = 0.0;
+  const auto link_delay = [&] {
+    if (sparse && rng.uniform_index(4) != 0) return kInfiniteDelay;
+    return small_delay(5);
+  };
   for (int step = 0; step < 600; ++step) {
     now += 1.0;
-    const auto roll = rng.uniform_index(20);
+    const auto roll = rng.uniform_index(21);
     if (roll < 4) {  // link change, including removal to infinity
       const LandmarkId v = other();
-      const double d = small_delay(5);
+      const double d = link_delay();
       ref.set_link_delay(v, d);
       eager.set_link_delay(v, d);
       lazy.set_link_delay(v, d);
@@ -685,11 +719,14 @@ void RunReferenceStream(std::size_t n, std::uint64_t seed) {
         eager.unpin(dst);
         lazy.unpin(dst);
       }
-    } else {  // withdraw origins silent for a while
+    } else if (roll < 20) {  // withdraw origins silent for a while
       const double cutoff = now - static_cast<double>(rng.uniform_index(40));
       const std::size_t expired = ref.expire_stale(cutoff);
       EXPECT_EQ(eager.expire_stale(cutoff), expired);
       EXPECT_EQ(lazy.expire_stale(cutoff), expired);
+    } else {  // suspend and resume: eager clean, lazy often dirty
+      ReloadThroughCheckpoint(eager);
+      ReloadThroughCheckpoint(lazy);
     }
     for (const RoutingTable* t : {&eager, &lazy}) {
       sim::AuditReport report;
@@ -711,19 +748,28 @@ void RunReferenceStream(std::size_t n, std::uint64_t seed) {
 }
 
 class RoutingTableReference
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
+ protected:
+  void RunSeeds(bool sparse) {
+    const auto [n, scalar] = GetParam();
+    const bool prev = simd::scalar_forced();
+    simd::force_scalar_for_test(scalar);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      RunReferenceStream(n, seed * 7919 + n, sparse);
+    }
+    simd::force_scalar_for_test(prev);
+  }
+};
 
 TEST_P(RoutingTableReference, RandomOpStreamsMatchReferenceModel) {
-  const auto [n, scalar] = GetParam();
-  const bool prev = simd::scalar_forced();
-  simd::force_scalar_for_test(scalar);
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    RunReferenceStream(n, seed * 7919 + n);
-  }
-  simd::force_scalar_for_test(prev);
+  RunSeeds(/*sparse=*/false);
 }
 
-// Odd sizes exercise the SIMD tails of the column sweep and merge scan.
+TEST_P(RoutingTableReference, SparseLinkStreamsMatchReferenceModel) {
+  RunSeeds(/*sparse=*/true);
+}
+
+// Odd sizes exercise the SIMD tails of merge's changed-cell scan.
 INSTANTIATE_TEST_SUITE_P(
     Sizes, RoutingTableReference,
     ::testing::Combine(::testing::Values(std::size_t{5}, std::size_t{12},

@@ -94,7 +94,8 @@ TEST(SimdParity, PredictorDistributionMatchesScalarBitForBit) {
 
 // Merge a fixed sequence of distance vectors into two tables, one per
 // code path, and compare every cached route bit for bit (primary and
-// backup next hop and delay).
+// backup next hop and delay).  Only merge's changed-cell scan differs
+// by path; column solves and the all-dirty sweep are scalar in both.
 RoutingTable merged_table(std::size_t n) {
   RoutingTable t(/*self=*/0, n);
   for (std::size_t v = 1; v < n; ++v) {
@@ -126,7 +127,10 @@ RoutingTable merged_table(std::size_t n) {
 TEST(SimdParity, RoutingTableColumnsMatchScalarBitForBit) {
   for (const std::size_t n : {4u, 18u, 31u}) {
     auto vec_t = merged_table(n);
-    auto scalar_t = merged_table(n);
+    auto scalar_t = [n] {
+      ScalarGuard guard(true);
+      return merged_table(n);
+    }();
     for (std::size_t d = 0; d < n; ++d) {
       const Route vec_r = vec_t.route(static_cast<trace::LandmarkId>(d));
       Route scalar_r;
@@ -147,7 +151,7 @@ TEST(SimdParity, RoutingTableColumnsMatchScalarBitForBit) {
 }
 
 // End-to-end: a campus replay exercises the carrier-score refinement
-// sweep, the predictor distribution and the routing-table scans
+// sweep, the predictor distribution and the routing-table merge scan
 // together; counters, per-packet vectors and router diagnostics must
 // not differ by a single bit between the two paths.
 struct RunResult {
